@@ -151,13 +151,21 @@ PER_LAYER: List[Tuple[str, str, str, Callable]] = [
     ("compile.key.self_s", _S, "lower", _self("compile.key")),
     ("memo.lookup.calls", _COUNT, "lower", _calls("memo.lookup")),
     ("memo.hit_ratio", _RATIO, "higher", _counter("memo.hit_ratio")),
+    ("memo.store.self_s", _S, "lower", _self("memo.store")),
+    ("memo.evictions", _COUNT, "lower", _counter("memo.evictions")),
     ("runtime.submit.self_s", _S, "lower", _self("runtime.submit")),
     ("runtime.on_task_done.self_s", _S, "lower", _self("runtime.on_task_done")),
     ("runtime.wait_on.wait_s", _S, "lower", _self("runtime.wait_on")),
     ("rt.request_p99_ms", "ms", "lower", _counter("rt.request_p99_ms")),
+    ("sim_makespan_s", _S, "lower", _counter("sim_makespan_s")),
+    ("sim_window_latency_max_s", _S, "lower", _counter("sim_window_latency_max_s")),
     ("trace.overhead_share", _RATIO, "lower", _counter("trace.overhead_share")),
     ("trace.unattributed_s", _S, "lower", _counter("trace.unattributed_s")),
 ]
+
+
+#: The thread that drives the load; the runtime pool's threads overlap it.
+LOAD_THREAD = "MainThread"
 
 
 def per_iteration(tracer: Tracer, iterations: int) -> Dict[str, LayerStats]:
@@ -190,14 +198,10 @@ def table(
     """
     lines: List[str] = []
     problems: List[str] = []
-    groups: Dict[str, Dict[str, LayerStats]] = {"load thread": {}, "worker threads": {}}
-    for state in tracer.threads():
-        group = groups["load thread" if state.name == "MainThread" else "worker threads"]
-        for layer, stats in state.layers.items():
-            into = group.setdefault(layer, LayerStats())
-            into.calls += stats.calls
-            into.total_s += stats.total_s
-            into.self_s += stats.self_s
+    groups = {
+        "load thread": tracer.layer_totals(lambda name: name == LOAD_THREAD),
+        "worker threads": tracer.layer_totals(lambda name: name != LOAD_THREAD),
+    }
     header = f"  {'layer':<26}{'calls':>12}{'total_s':>11}{'self_s':>11}{'share':>8}"
     unattributed = 0.0
     for group_name, layers in groups.items():

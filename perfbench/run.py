@@ -15,14 +15,19 @@ Workloads (inputs are generated from ``--seed``; see ``workloads.py``):
 * ``task_pipeline`` — a real ``@task`` program on the thread-pool runtime,
   one closed-loop client, memoized repeats: the real-time path.
 
-Each iteration is set-up plus one campaign (600 requests for the
-pipeline) of about a second, on inputs of its own drawn from the seed; the
-run repeats iterations for ``--seconds`` and reports medians.  Between
+Each iteration is set-up plus one campaign (about a second; 5,000
+requests and several seconds for the pipeline), on inputs of its own drawn
+from the seed; the run repeats iterations for ``--seconds`` and reports
+medians.  Iteration 0's inputs depend on ``--seed`` alone, so its
+simulated outcomes (``sim_makespan_s``, ``sim_window_latency_max_s``) are
+printed as guards: on the same seed they are bit-identical from commit to
+commit unless a change altered placement or window timing.  Between
 iterations a fixed reference kernel measures the host's current speed,
 and every timed end-to-end metric is scaled to the nominal host (see
 ``NOMINAL_KERNEL_S``): a shared host's speed drifts by tens of percent
 from minute to minute, which unscaled medians would report as changes.
-The unscaled figures are printed too.
+The unscaled figures are printed too.  The pipeline's timings are not
+scaled (see ``TaskPipeline.host_scaled``).
 
 With ``--trace 0`` the run prints the end-to-end metrics; with ``--trace
 1`` it runs untraced for half the time, then traced with spans around
@@ -41,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import heapq
 import json
 import os
@@ -91,35 +95,15 @@ def import_program() -> None:
 
 
 def _commit() -> Optional[str]:
-    """HEAD of the checkout's git metadata, read as files (no git walk)."""
+    """The checkout's HEAD commit, read from its git files (None without)."""
     git = ROOT / ".git"
     try:
         head = (git / "HEAD").read_text().strip()
+        if head.startswith("ref: "):
+            head = (git / head[len("ref: "):]).read_text().strip()
     except OSError:
         return None
-    if not head.startswith("ref: "):
-        return head
-    ref = head[len("ref: "):]
-    try:
-        return (git / ref).read_text().strip()
-    except OSError:
-        pass
-    try:
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return None
-
-
-def _source_digest() -> str:
-    """sha256 over the program's sources: identifies the code without git."""
-    digest = hashlib.sha256()
-    for path in sorted(SRC.rglob("*.py")):
-        digest.update(str(path.relative_to(SRC)).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
+    return head
 
 
 def stamp() -> Dict[str, Any]:
@@ -127,7 +111,6 @@ def stamp() -> Dict[str, Any]:
         "cpus": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "commit": _commit(),
-        "src_sha256": _source_digest(),
     }
 
 
@@ -251,7 +234,8 @@ def _host(hosts: List[float]) -> str:
 
 
 def end_to_end(samples, hosts: List[float]) -> Dict[str, dict]:
-    """The BENCHMARK.json end-to-end metrics; times on the nominal host."""
+    """The BENCHMARK.json end-to-end metrics; each iteration's times are
+    divided by its ``hosts`` factor (all 1 for an unscaled workload)."""
     latencies = [x / h for s, h in zip(samples, hosts) for x in s.latencies_ms]
     if not latencies:  # a campaign is one operation: its wall time
         latencies = [s.run_s * 1e3 / h for s, h in zip(samples, hosts)]
@@ -272,6 +256,11 @@ def end_to_end(samples, hosts: List[float]) -> Dict[str, dict]:
         "peak_rss_mb": {"value": peak_kb / 1024.0, "unit": "MB"},
         "completed_share": {"value": 1.0 - failed / attempted, "unit": "ratio"},
     }
+
+
+def guards(samples) -> Dict[str, tuple]:
+    """Iteration 0's simulated outcomes (its inputs come from the seed alone)."""
+    return dict(samples[0].guards)
 
 
 def _median_figures(samples) -> Dict[str, tuple]:
@@ -309,13 +298,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     samples, walls, hosts = _repeat(
         workload, inputs_of, None, budget, 1 if args.trace else 2, problems
     )
+    scales = hosts if workload.host_scaled else [1.0] * len(hosts)
     all_samples = list(samples)
     print(f"untraced: {_describe(walls)}; {_host(hosts)}")
     if args.trace:
         tracer = Tracer()
         layers.install(tracer)
         try:
-            traced, traced_walls, traced_hosts = _repeat(
+            traced, traced_walls, traced_scales = _repeat(
                 workload,
                 lambda k: inputs_of(k % len(samples)),
                 tracer,
@@ -327,11 +317,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         finally:
             tracer.remove()
         all_samples += traced
-        print(f"traced: {_describe(traced_walls)}; {_host(traced_hosts)}")
+        print(f"traced: {_describe(traced_walls)}; {_host(traced_scales)}")
+        if not workload.host_scaled:
+            traced_scales = [1.0] * len(traced_scales)
         # Traced iteration k re-ran untraced iteration k mod n's inputs;
-        # compare host-normalized walls.
-        traced_norm = sum(w / h for w, h in zip(traced_walls, traced_hosts))
-        paired = sum(walls[k % len(walls)] / hosts[k % len(walls)] for k in range(len(traced)))
+        # compare walls scaled as the end-to-end metrics are.
+        traced_norm = sum(w / h for w, h in zip(traced_walls, traced_scales))
+        paired = sum(walls[k % len(walls)] / scales[k % len(walls)] for k in range(len(traced)))
         overhead = traced_norm / paired - 1.0
         traced_wall = statistics.mean(traced_walls)
         lines, unattributed, table_problems = layers.table(tracer, len(traced), traced_wall)
@@ -340,7 +332,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line in lines:
             print(line)
         print(f"tracing overhead: traced {traced_norm:.3f} s vs untraced {paired:.3f} s "
-              f"on the same inputs, host-normalized ({overhead:+.1%})")
+              f"on the same inputs, {'host-normalized' if workload.host_scaled else 'unscaled'} "
+              f"({overhead:+.1%})")
         counters = {
             name: statistics.mean(s.counters[name] for s in samples)
             for name in samples[0].counters
@@ -348,13 +341,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         if samples[-1].latencies_ms:
             ordered = sorted(x for s in samples for x in s.latencies_ms)
             counters["rt.request_p99_ms"] = percentile(ordered, 0.99)
+        counters.update((name, value) for name, (value, _unit) in guards(samples).items())
         counters["trace.overhead_share"] = overhead
         counters["trace.unattributed_s"] = unattributed
         metrics = layers.metrics(layers.per_iteration(tracer, len(traced)), counters)
     else:
-        metrics = end_to_end(samples, hosts)
+        metrics = end_to_end(samples, scales)
     for name, (value, unit) in _median_figures(samples).items():
         print(f"{name:<32}{value:>16.6g} {unit}")
+    if samples[0].guards:
+        print("guards (iteration 0, inputs from --seed alone; equal on every commit "
+              "unless placement or window timing changed):")
+    for name, (value, unit) in guards(samples).items():
+        print(f"{name:<32}{value!r:>16} {unit}")
     for name, metric in metrics.items():
         print(f"{name:<32}{metric['value']:>16.6g} {metric['unit']}")
     attempted = sum(s.attempted for s in all_samples)

@@ -170,10 +170,15 @@ class Tracer:
         with self._lock:
             return list(self._threads)
 
-    def layer_totals(self) -> Dict[str, LayerStats]:
-        """Every layer summed across threads."""
+    def layer_totals(
+        self, thread: Optional[Callable[[str], bool]] = None
+    ) -> Dict[str, LayerStats]:
+        """Every layer summed across threads (those whose name ``thread``
+        accepts, when given)."""
         merged: Dict[str, LayerStats] = {}
         for state in self.threads():
+            if thread is not None and not thread(state.name):
+                continue
             for layer, stats in state.layers.items():
                 total = merged.get(layer)
                 if total is None:

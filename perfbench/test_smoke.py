@@ -6,7 +6,8 @@ Run from the repository root::
 
 It checks that every metric named in ``BENCHMARK.json`` prints with its
 unit on every workload (both modes), that the workload-specific figures
-print by name, that tampered outputs fail the correctness checks, and that
+print by name, that the guards repeat for a seed, that tampered outputs
+fail the correctness checks, and that
 the command fails without printing a result when the program's sources
 are missing.
 """
@@ -118,6 +119,13 @@ def test_unconserved_stream_elements_fail_the_check():
     assert any("produced" in p for p in workload.check(cfg, sample))
 
 
+def test_miscounted_stream_ingestion_fails_the_check():
+    workload, cfg, sample = _sample("sensor_stream")
+    zone = next(iter(sample.result["per_zone"]))
+    sample.result["per_zone"][zone]["stream_events"] += 1
+    assert any("ingested" in p for p in workload.check(cfg, sample))
+
+
 def test_churn_membership_mismatch_fails_the_check():
     workload, cfg, sample = _sample("fleet_churn")
     sample.result["alive_agents"] += 1
@@ -135,6 +143,23 @@ def test_tampered_digest_fails_the_determinism_check(workload_name):
     assert problems == []
     run._iterate(workload, inputs, None, ((zone, crc ^ 1), *rest), problems)
     assert any("outcome differs" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "workload_name, guard",
+    [("guidance_dag", "sim_makespan_s"), ("sensor_stream", "sim_window_latency_max_s")],
+)
+def test_guards_repeat_for_a_seed(workload_name, guard):
+    """Iteration 0's simulated outcome depends on --seed alone."""
+    printed = []
+    for seconds in ("0.5", "1"):
+        proc = _run([
+            "--workload", workload_name, "--seed", "11", "--seconds", seconds,
+            "--trace", "0", "--scale", "tiny",
+        ])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        printed.append([line for line in proc.stdout.splitlines() if line.startswith(guard)])
+    assert len(printed[0]) == 1 and printed[0] == printed[1]
 
 
 def test_fails_without_program_sources(tmp_path):
