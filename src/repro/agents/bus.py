@@ -27,6 +27,7 @@ it happens, exactly as under broadcast (see DESIGN.md's substitution table).
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import TYPE_CHECKING, Deque, Dict, KeysView, List, Optional, Tuple
 
 from repro.agents.messages import Message, Op
@@ -185,7 +186,12 @@ class MessageBus:
         log = self._zone_changes.get(zone)
         if log is None or current - epoch > len(log):
             return None
-        return [(name, alive) for e, name, alive in log if e > epoch]
+        # Epochs in a zone's log are consecutive, so the changes after
+        # ``epoch`` are exactly its last ``current - epoch`` entries.
+        newest = islice(reversed(log), current - epoch)
+        changes = [(name, alive) for _e, name, alive in newest]
+        changes.reverse()
+        return changes
 
     def deaths_since(self, zone: str, epoch: int) -> Optional[List[str]]:
         """Like :meth:`changes_since`, deaths only (None = resync needed)."""

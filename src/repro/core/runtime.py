@@ -81,8 +81,9 @@ class Runtime:
         policy: scheduling policy; defaults to FIFO first-fit.
         workers: core count of the default local platform (ignored when an
             explicit platform is passed).
-        pool_size: thread-pool width of the local executor; defaults to the
-            platform's total cores (capped at 128 threads).
+        pool_size: most worker threads the runtime starts (on demand,
+            while tasks are placed); defaults to the platform's total cores
+            (capped at 128 threads).
         memoizer: content-keyed result cache consulted at submission; a hit
             completes the invocation without scheduling it.
         dedupe: alias concurrent identical submissions onto one scheduled
@@ -113,7 +114,10 @@ class Runtime:
         # structural barrier nodes instead of O(readers) writer deps.
         self.access_processor = AccessProcessor(self.registry, graph=self.graph)
         self.scheduler = TaskScheduler(self.platform, policy)
-        self._cv = threading.Condition()
+        # The executor's worker condition shares this lock, so completions
+        # wake workers and clients through separate conditions.
+        self._lock = threading.RLock()
+        self._cv = threading.Condition(self._lock)
         self._result_futures: Dict[int, List[Future]] = {}
         # In-flight index: content key -> (primary task id, result datum
         # ids).  A submission whose key is already here never commits — its

@@ -56,6 +56,17 @@ class TaskDefinition:
         self.constraints = constraints if constraints is not None else constraints_of(fn)
         self._signature = inspect.signature(fn)
         self._validate_directions()
+        # Binding plan, computed once: every parameter is positional-or-
+        # keyword or keyword-only (validated above), so a call binds by
+        # name in signature order without walking inspect's machinery.
+        parameters = self._signature.parameters.values()
+        self._names = tuple(p.name for p in parameters)
+        self._positional = sum(
+            p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in parameters
+        )
+        self._defaults = {
+            p.name: p.default for p in parameters if p.default is not p.empty
+        }
 
     @property
     def constraints(self) -> ResourceConstraints:
@@ -105,7 +116,27 @@ class TaskDefinition:
         return self.param_directions.get(param_name, IN)
 
     def bind(self, args: tuple, kwargs: dict) -> "inspect.BoundArguments":
-        """Bind a call to the signature (applies defaults)."""
+        """Bind a call to the signature (applies defaults).
+
+        Same ``arguments``, in the same order, as ``Signature.bind`` plus
+        ``apply_defaults``; a call that does not bind falls through to
+        ``Signature.bind`` so the ``TypeError`` is inspect's own.
+        """
+        if len(args) <= self._positional:
+            arguments = dict(zip(self._names, args))
+            defaults = self._defaults
+            taken = 0
+            for name in self._names[len(args):]:
+                if name in kwargs:
+                    arguments[name] = kwargs[name]
+                    taken += 1
+                elif name in defaults:
+                    arguments[name] = defaults[name]
+                else:
+                    break
+            else:
+                if taken == len(kwargs):
+                    return inspect.BoundArguments(self._signature, arguments)
         bound = self._signature.bind(*args, **kwargs)
         bound.apply_defaults()
         return bound

@@ -2,8 +2,9 @@
 
 Two backends share the scheduler and graph machinery:
 
-* :class:`LocalExecutor` really runs Python callables on a thread pool with
-  per-node core/memory accounting — the backend behind the public API;
+* :class:`LocalExecutor` really runs Python callables on worker threads the
+  runtime owns, with per-node core/memory accounting — the backend behind
+  the public API;
 * :class:`SimulatedExecutor` advances a discrete-event clock over task
   profiles — the substitute for the paper's physical testbeds.
 """

@@ -1,35 +1,44 @@
-"""Real execution backend: a thread pool with capacity-aware dispatch.
+"""Real execution backend: runtime-owned workers with capacity-aware dispatch.
 
 This is the COMPSs worker layer collapsed into one process: logical nodes
 still exist (the scheduler enforces their core/memory limits), but task
 functions execute on threads sharing the interpreter, which is also how the
 "single shared memory space" illusion of the paper trivially holds.
 
-Threading model: the runtime's condition variable guards graph + ledger;
-worker threads call back into the runtime on completion.  ``kick_locked`` —
-the only dispatch path — must be called with that lock held.
+Threading model: the runtime's lock guards graph, ledger and the deque of
+placed tasks that ``kick_locked`` (the only dispatch path) fills.  Idle
+workers wait on their own condition of that lock, not on the clients'.
 """
 
 from __future__ import annotations
 
+import atexit
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
-from repro.core.futures import Future
 from repro.core.graph import TaskInstance
+from repro.core.runtime import Runtime, mark_in_task
 from repro.scheduling.scheduler import BlockedDemandFrontier
 
-if TYPE_CHECKING:
-    from repro.core.runtime import Runtime
+#: Started executors, shut down at interpreter exit: a program that ends
+#: without ``Runtime.stop()`` still finishes its placed tasks.  Workers are
+#: daemon threads because exit joins non-daemon threads before this hook.
+_live: "set[LocalExecutor]" = set()
+
+
+@atexit.register
+def _shutdown_at_exit() -> None:
+    for executor in list(_live):
+        executor.shutdown()
 
 
 class LocalExecutor:
-    """Dispatches ready tasks to a thread pool under ledger capacity."""
+    """Runs placed tasks on up to ``pool_size`` runtime-owned worker threads."""
 
     def __init__(
         self,
-        runtime: "Runtime",
+        runtime: Runtime,
         pool_size: Optional[int] = None,
         dispatch_window: int = 64,
     ) -> None:
@@ -42,28 +51,34 @@ class LocalExecutor:
         # O(ready), which is what keeps a million-task submission loop from
         # re-walking the whole backlog on every submit.
         self.dispatch_window = dispatch_window
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._shutdown = False
+        # Workers wait on their own condition of the runtime's lock, so a
+        # placement wakes a worker and never a client blocked in wait_on.
+        self._wake = threading.Condition(runtime._lock)
+        self._placed: Deque[TaskInstance] = deque()
+        self._threads: List[threading.Thread] = []
+        self._idle = 0  # workers waiting on _wake
+        self._shutdown = True
 
     def start(self) -> None:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.pool_size, thread_name_prefix="repro-worker"
-            )
         self._shutdown = False
+        _live.add(self)
 
     def shutdown(self) -> None:
-        self._shutdown = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Stop placing; the workers finish every placed task, then exit."""
+        with self._wake:
+            self._shutdown = True
+            self._wake.notify_all()
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
+        _live.discard(self)
 
     def kick_locked(self) -> None:
-        """Place and launch as many ready tasks as capacity allows.
+        """Place ready tasks under capacity and queue them for the workers.
 
-        Must be called with the runtime condition lock held.
+        Must be called with the runtime lock held.
         """
-        if self._pool is None or self._shutdown:
+        if self._shutdown:
             return
         graph = self.runtime.graph
         scheduler = self.runtime.scheduler
@@ -97,20 +112,42 @@ class LocalExecutor:
             consecutive_failures = 0
             graph.mark_running(instance.task_id, nodes[0], now=self.runtime.now)
             instance.assigned_nodes = nodes
-            self._pool.submit(self._run, instance)
+            self._placed.append(instance)
+            # Like ThreadPoolExecutor, start a worker only when no idle
+            # one is left to take the task, up to pool_size.
+            if len(self._placed) > self._idle and len(self._threads) < self.pool_size:
+                self._spawn_worker()
+            self._wake.notify()
 
     # ------------------------------------------------------------ execution
 
-    def _run(self, instance: TaskInstance) -> None:
-        from repro.core.runtime import mark_in_task
+    def _spawn_worker(self) -> None:
+        name = f"repro-worker_{len(self._threads)}"
+        thread = threading.Thread(target=self._work, name=name, daemon=True)
+        self._threads.append(thread)
+        thread.start()
 
+    def _work(self) -> None:
+        # A worker only ever runs tasks: a @task called from one runs inline.
+        mark_in_task(True)
+        placed = self._placed
+        while True:
+            try:
+                instance = placed.popleft()
+            except IndexError:
+                with self._wake:
+                    self._idle += 1
+                    self._wake.wait_for(lambda: placed or self._shutdown)
+                    self._idle -= 1
+                    if not placed:
+                        return
+                continue
+            self._run(instance)
+
+    def _run(self, instance: TaskInstance) -> None:
         try:
             kwargs = self._materialize_arguments(instance)
-            mark_in_task(True)
-            try:
-                result = instance.fn(**kwargs)
-            finally:
-                mark_in_task(False)
+            result = instance.fn(**kwargs)
         except BaseException as error:  # noqa: BLE001 - task code may raise anything
             self.runtime.on_task_failed(instance, error)
             return

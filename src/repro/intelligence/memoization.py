@@ -19,6 +19,7 @@ calls — resolve through this cache.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.storage.interface import content_fingerprint, estimate_size
@@ -78,9 +79,9 @@ class TaskMemoizer:
             raise ValueError("max_bytes must be >= 1 (or None for unbounded)")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        # Insertion order doubles as recency order: lookups re-append their
-        # entry, so the first key is always the least recently used.
-        self._cache: Dict[str, _CacheEntry] = {}
+        # Recency order: lookups move their entry to the end, so the first
+        # key is always the least recently used and eviction pops it in O(1).
+        self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -99,9 +100,7 @@ class TaskMemoizer:
         if entry is None:
             self.misses += 1
             return False, None
-        # Refresh recency: delete + re-insert keeps the dict ordered LRU.
-        del self._cache[key]
-        self._cache[key] = entry
+        self._cache.move_to_end(key)
         entry.hits += 1
         self.hits += 1
         return True, entry.value
@@ -138,8 +137,7 @@ class TaskMemoizer:
             and self.total_bytes > self.max_bytes
             and len(self._cache) > 1
         ):
-            oldest_key = next(iter(self._cache))
-            evicted = self._cache.pop(oldest_key)
+            _key, evicted = self._cache.popitem(last=False)
             self.total_bytes -= evicted.size_bytes
             self.evictions += 1
 

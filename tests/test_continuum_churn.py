@@ -10,8 +10,11 @@ equivalence properties live in ``test_churn_equivalence.py``.
 """
 
 import io
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agents import Agent, MessageBus, NeverOffload
 from repro.agents.bus import _DROP_LOG_LIMIT
@@ -191,6 +194,48 @@ class TestMembershipEpochs:
         bus.kill_now("fog-n0")
         assert bus.changes_since("fog-area", caught_up) == [("fog-n0", False)]
         assert bus_module._EPOCH_LOG_LIMIT == original
+
+
+class TestChangesSinceMatchesFullScan:
+    """``changes_since`` walks only the log's newest ``current - epoch``
+    entries; it must return what a scan of the whole recorded history
+    returns, and ``None`` exactly when the bounded log was outrun."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_limit=st.integers(1, 12),
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=40),
+    )
+    def test_random_epochs(self, log_limit, ops):
+        platform, engine, bus, agents = make_stack()
+        zone = "fog-area"
+        history = [(name, True) for name in ("fog-0", "fog-1", "fog-2")]
+        bus._zone_changes[zone] = deque(bus._zone_changes[zone], maxlen=log_limit)
+        joined = 0
+        for join, pick in ops:
+            alive = list(bus.alive_in_zone(zone))
+            if join or not alive:
+                name = f"fog-j{joined}"
+                joined += 1
+                platform.add_node(
+                    Node(name=name, kind=NodeKind.FOG, cores=2, memory_mb=1000),
+                    zone=zone,
+                )
+                Agent(name, name, bus)
+                history.append((name, True))
+            else:
+                name = alive[pick % len(alive)]
+                bus.kill_now(name)
+                history.append((name, False))
+        current = bus.membership_epoch(zone)
+        assert current == len(history)
+        for epoch in range(-2, current + 3):
+            expected = history[max(epoch, 0):]
+            if current - epoch > min(current, log_limit):
+                expected = None
+            assert bus.changes_since(zone, epoch) == expected
+            deaths = None if expected is None else [n for n, a in expected if not a]
+            assert bus.deaths_since(zone, epoch) == deaths
 
 
 class TestRehomeNode:
