@@ -4,10 +4,17 @@ This is where streams stop being a demo and become part of the workflow
 runtime (§I, §III — one environment for batch tasks and continuous data):
 
 * **Element path, O(1) per event** — each window operator's input chains
-  are fused into one per-batch ingestion callback (map/filter applied
-  inline, elements bucketed into their tumbling window by timestamp).  No
-  engine events, no rescans: an element is touched exactly once between
-  publication and window close.
+  are fused into one per-batch ingestion callback, and it works a batch
+  at a time: each map op runs over the batch's values, each filter op
+  compresses values and timestamps together, and a batch whose first and
+  last survivors share a window is bucketed with one ``extend`` and one
+  count update.  Only batches that cross a window boundary or carry late
+  elements split into per-window runs.  No engine events, no rescans: an
+  element is touched exactly once between publication and window close.
+* **Operator purity** — ops run op by op over a batch instead of element
+  by element.  The set of calls is unchanged (a filtered element reaches
+  no later op); only the interleaving between ops differs, so map, filter
+  and key functions must be pure.
 * **Lowering** — a window close builds one :class:`TaskInstance` per
   non-empty window and appends it through the executor's batched
   submission path (:meth:`SimulatedExecutor.submit_tasks`), so window
@@ -29,6 +36,8 @@ runtime (§I, §III — one environment for batch tasks and continuous data):
 from __future__ import annotations
 
 from functools import partial
+from itertools import compress
+from math import isnan
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.compile import stream_task_key
@@ -210,68 +219,91 @@ class DataflowPlane:
         counts = runtime.counts
         credit_counts = runtime.credit_counts
         op = runtime.op
-        if isinstance(op, JoinNode):
-            key_fn = op.key_fn if side == 0 else op.right_key_fn
-            mode = "join"
-        elif op.key_fn is not None:
-            key_fn = op.key_fn
-            mode = "keyed"
-        else:
-            key_fn = None
-            mode = "plain"
+        # Plain windows have no key; a join side groups by its own key.
+        key_fn = op.right_key_fn if side == 1 else op.key_fn
 
         def ingest(batch) -> None:
-            filtered = 0
-            added = 0
-            for element in batch:
-                value = element.value
-                keep = True
-                for kind, fn in ops:
-                    if kind == "map":
-                        value = fn(value)
-                    elif not fn(value):
-                        keep = False
-                        break
-                if not keep:
-                    filtered += 1
+            total = len(batch)
+            self.elements_ingested += total
+            timestamps = [element.timestamp for element in batch]
+            values = [element.value for element in batch]
+            for kind, fn in ops:
+                if kind == "map":
+                    values = list(map(fn, values))
                     continue
-                index = int((element.timestamp - origin) // window_s)
-                if index < runtime.next_index:
-                    # Late data (spilled or out-of-order): lands in the
-                    # earliest still-open window instead of being dropped.
-                    index = runtime.next_index
-                    self.late_elements += 1
+                keep = list(map(fn, values))
+                if not all(keep):
+                    values = list(compress(values, keep))
+                    timestamps = list(compress(timestamps, keep))
+            added = len(values)
+            if valve is not None and added < total:
+                # Filtered elements never reach a window task: their
+                # credits return immediately.
+                valve.grant(total - added)
+            if not added:
+                return
+            # Timestamps are monotone within a batch (publish_batch enforces
+            # it) and so is the window index, so equal first and last
+            # indices put the whole batch in one window.  A NaN timestamp
+            # orders against nothing and has no window: its batch takes the
+            # per-element path, which raises on it.
+            next_index = runtime.next_index
+            index = int((timestamps[0] - origin) // window_s)
+            if (
+                index >= next_index
+                and index == int((timestamps[-1] - origin) // window_s)
+                and not isnan(sum(timestamps))
+            ):
+                runs = ((index, values),)
+            else:
+                runs = self._split_runs(
+                    timestamps, values, origin, window_s, next_index
+                )
+            for index, run in runs:
                 bucket = buffers.get(index)
-                if mode == "plain":
+                if key_fn is None:
                     if bucket is None:
-                        bucket = buffers[index] = []
-                    bucket.append(value)
-                elif mode == "keyed":
-                    if bucket is None:
-                        bucket = buffers[index] = {}
-                    bucket.setdefault(key_fn(value), []).append(value)
+                        buffers[index] = run
+                    else:
+                        bucket.extend(run)
                 else:
                     if bucket is None:
-                        bucket = buffers[index] = ({}, {})
-                    bucket[side].setdefault(key_fn(value), []).append(value)
-                counts[index] = counts.get(index, 0) + 1
-                added += 1
+                        bucket = buffers[index] = {} if side is None else ({}, {})
+                    groups = bucket if side is None else bucket[side]
+                    for value in run:
+                        groups.setdefault(key_fn(value), []).append(value)
+                count = len(run)
+                counts[index] = counts.get(index, 0) + count
                 if valve is not None:
                     per_window = credit_counts.get(index)
                     if per_window is None:
                         per_window = credit_counts[index] = {}
-                    per_window[valve] = per_window.get(valve, 0) + 1
-            self.elements_ingested += len(batch)
-            if valve is not None and filtered:
-                # Filtered elements never reach a window task: their
-                # credits return immediately.
-                valve.grant(filtered)
-            if added:
-                self._buffered += added
-                if self._buffered > self.buffered_high_water:
-                    self.buffered_high_water = self._buffered
+                    per_window[valve] = per_window.get(valve, 0) + count
+            self._buffered += added
+            if self._buffered > self.buffered_high_water:
+                self.buffered_high_water = self._buffered
 
         return ingest
+
+    def _split_runs(self, timestamps, values, origin, window_s, next_index):
+        """Group a batch that spans windows into (window index, values) runs.
+
+        Late data (spilled or out-of-order) lands in the earliest
+        still-open window instead of being dropped.
+        """
+        runs = []
+        current = None
+        for timestamp, value in zip(timestamps, values):
+            index = int((timestamp - origin) // window_s)
+            if index < next_index:
+                index = next_index
+                self.late_elements += 1
+            if index != current:
+                current = index
+                run = []
+                runs.append((index, run))
+            run.append(value)
+        return runs
 
     # --------------------------------------------------------------- closes
 

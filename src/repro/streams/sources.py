@@ -150,35 +150,41 @@ class SensorSource:
             shard=self.zone,
         )
 
-    def _next_delay(self) -> float:
-        if self.jitter == 0:
-            return self.period_s
-        spread = self.period_s * self.jitter
-        return self.period_s + self.rng.uniform(-spread, spread)
-
     def _emit(self) -> None:
         now = self.engine.now
-        if self.until is not None and now > self.until:
+        until = self.until
+        if until is not None and now > until:
             return
         # Generate the batch.  Element k's timestamp is exactly the engine
         # time the k-th per-element event would have fired at (same floats,
         # same rng draw order), which is what makes batched and per-element
-        # ingestion byte-identical downstream.
+        # ingestion byte-identical downstream.  The jitter draw is
+        # ``rng.uniform(-spread, spread)`` written out as the same
+        # ``low + (high - low) * random()`` expression.
+        period = self.period_s
+        jitter = self.jitter
+        spread = period * jitter
+        low = -spread
+        width = spread - low
+        rng = self.rng
+        draw = rng.random
+        reading_fn = self.reading_fn
+        name = self.name
+        produced = self.produced
         readings: List[StreamElement] = []
+        append = readings.append
         timestamp: Optional[float] = now
         for _ in range(self.batch):
-            readings.append(
-                StreamElement(
-                    timestamp=timestamp,
-                    value=self.reading_fn(self.produced, self.rng),
-                    source=self.name,
-                )
-            )
-            self.produced += 1
-            timestamp = timestamp + self._next_delay()
-            if self.until is not None and timestamp > self.until:
+            append(StreamElement(timestamp, reading_fn(produced, rng), name))
+            produced += 1
+            if jitter:
+                timestamp = timestamp + (period + (low + width * draw()))
+            else:
+                timestamp = timestamp + period
+            if until is not None and timestamp > until:
                 timestamp = None
                 break
+        self.produced = produced
         valve = self.valve
         if valve is not None:
             # Spilled elements re-enter first: they are older than this

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import le
 from typing import Any, Callable, List, Sequence
 
 
@@ -110,7 +111,7 @@ class DataStream:
 
         The batch must be internally monotone and start no earlier than the
         last published element — the same invariant ``publish`` enforces,
-        checked with one float compare per element.
+        checked with one C-level pass of float compares over the batch.
         """
         if not elements:
             return
@@ -118,15 +119,19 @@ class DataStream:
             raise RuntimeError(f"stream {self.name!r} is closed")
         timestamps = self._timestamps
         previous = timestamps[-1] if timestamps else float("-inf")
-        for element in elements:
-            if element.timestamp < previous:
-                raise ValueError(
-                    f"stream {self.name!r}: element timestamp "
-                    f"{element.timestamp} precedes {previous}"
-                )
-            previous = element.timestamp
+        stamps = [element.timestamp for element in elements]
+        if not all(map(le, [previous, *stamps], stamps)):
+            # Out of order, or a NaN that compares false: walk the batch
+            # to name the offending element (NaN passes, as it always has).
+            for timestamp in stamps:
+                if timestamp < previous:
+                    raise ValueError(
+                        f"stream {self.name!r}: element timestamp "
+                        f"{timestamp} precedes {previous}"
+                    )
+                previous = timestamp
         self._elements.extend(elements)
-        timestamps.extend(element.timestamp for element in elements)
+        timestamps.extend(stamps)
         if len(self._elements) > self.max_retained:
             self.max_retained = len(self._elements)
         if self._subscribers:

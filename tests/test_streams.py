@@ -233,6 +233,47 @@ class TestDataStreamBatchAndPruning:
                 [StreamElement(2.0, "a"), StreamElement(1.0, "b")]
             )
 
+    @pytest.mark.parametrize(
+        "batch, offender",
+        [
+            # A decreasing pair in the middle of the batch.
+            ([3.0, 5.0, 4.0, 6.0], "element timestamp 4.0 precedes 5.0"),
+            # A batch starting before the last published element.
+            ([1.5, 6.0], "element timestamp 1.5 precedes 2.0"),
+        ],
+    )
+    def test_publish_batch_rejects_disorder_without_partial_extend(
+        self, batch, offender
+    ):
+        stream = DataStream("s")
+        batches = []
+        stream.subscribe_batch(batches.append)
+        stream.publish_batch([StreamElement(1.0, "a"), StreamElement(2.0, "b")])
+        with pytest.raises(ValueError, match=offender):
+            stream.publish_batch([StreamElement(t, t) for t in batch])
+        assert [e.timestamp for e in stream.elements] == [1.0, 2.0]
+        assert stream.since(float("-inf")) == stream.elements
+        assert stream.max_retained == 2 and len(batches) == 1
+        # The stream still accepts an in-order batch after the rejection.
+        stream.publish_batch([StreamElement(2.5, "c")])
+        assert [e.timestamp for e in stream.elements] == [1.0, 2.0, 2.5]
+
+    def test_publish_batch_admits_nan_timestamps_as_before(self):
+        # NaN compares false against everything, so the order check has
+        # never rejected it; that stays so.
+        nan = float("nan")
+        stream = DataStream("s")
+        stream.publish_batch([StreamElement(5.0, "a")])
+        stream.publish_batch(
+            [StreamElement(nan, "b"), StreamElement(1.0, "c")]
+        )
+        stream.publish_batch([StreamElement(6.0, "d"), StreamElement(nan, "e")])
+        assert [e.value for e in stream.elements] == ["a", "b", "c", "d", "e"]
+        # The last published timestamp is NaN, so anything follows it.
+        stream.publish_batch([StreamElement(0.0, "f")])
+        with pytest.raises(ValueError, match="element timestamp -1.0 precedes 0.0"):
+            stream.publish_batch([StreamElement(-1.0, "g")])
+
     def test_prune_advances_watermark_and_guards_since(self):
         stream = DataStream("s")
         for t in (1.0, 2.0, 3.0, 4.0):
