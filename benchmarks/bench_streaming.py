@@ -15,8 +15,10 @@ Two experiments share this module:
   through an :class:`OperatorGraph` lowered by the
   :class:`DataflowPlane` into the task runtime.
 * **Throughput (production rate)** — the dataflow plane at 100k -> 1M
-  stream events per campaign, asserting *flat per-event cost* (<= 1.3x
-  spread), an absolute events/sec floor, and watermark-bounded memory.
+  stream events per campaign, each size run three times (round-robin),
+  asserting *flat per-event cost* (<= 1.3x spread between the sizes'
+  median runs), an absolute events/sec floor on every run, and
+  watermark-bounded memory.
   The per-element ``WindowedProcessor`` path is the recorded before
   point.  Results land in ``BENCH_streaming.json`` at the repo root.
 """
@@ -40,8 +42,8 @@ from repro.streams import (
     DataflowPlane,
     OperatorGraph,
     SensorSource,
-    WindowedProcessor,
 )
+from tests.reference.windowed_processor import WindowedProcessor
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_streaming.json"
@@ -57,6 +59,13 @@ EMIT_BATCH = 50
 
 #: Flat-cost acceptance: largest/smallest per-event cost across campaigns.
 SPREAD_CEILING = 1.3
+
+#: Runs per throughput campaign size, taken round-robin across the sizes
+#: so a slow stretch of a shared host lands on every size alike.  Each
+#: size is represented by its median-cost run: the spread gate compares
+#: medians, which one noisy run cannot move, while a real per-event cost
+#: growth still fails it.
+THROUGHPUT_REPEATS = 3
 
 #: Absolute ingest floor (events/sec of engine-run wall time) for every
 #: campaign point — set ~5x under the local measurement so shared CI
@@ -279,14 +288,21 @@ def run_throughput_suite():
     # Warm-up run (discarded): first-touch allocation and import costs
     # would otherwise inflate the smallest campaign's per-event price.
     run_plane_campaign(10_000)
+    runs = {target: [] for target in throughput_targets()}
+    for _ in range(THROUGHPUT_REPEATS):
+        for target, target_runs in runs.items():
+            gc.collect()
+            gc.disable()
+            try:
+                target_runs.append(run_plane_campaign(target))
+            finally:
+                gc.enable()
     points = []
-    for target in throughput_targets():
-        gc.collect()
-        gc.disable()
-        try:
-            points.append(run_plane_campaign(target))
-        finally:
-            gc.enable()
+    for target_runs in runs.values():
+        target_runs.sort(key=lambda run: run["us_per_event"])
+        point = target_runs[len(target_runs) // 2]
+        point["us_per_event_runs"] = [run["us_per_event"] for run in target_runs]
+        points.append(point)
     baseline = run_per_element_baseline(throughput_targets()[0])
     return points, baseline
 
@@ -323,13 +339,16 @@ def test_dataflow_plane_flat_per_event_cost(benchmark):
     spread = max(costs) / min(costs)
     # Flat per-event cost: scaling the campaign 100k -> 1M must not change
     # the per-event price (no O(history) rescans, no unbounded buffers).
+    # Each cost is its campaign size's median over THROUGHPUT_REPEATS runs.
     assert spread <= SPREAD_CEILING, f"per-event cost spread {spread:.2f}"
-    # Absolute production-rate floor (CI smoke gate).
+    # Absolute production-rate floor (CI smoke gate), on every run.
     for p in points:
-        assert p["events_per_sec"] >= EVENTS_PER_SEC_FLOOR, (
-            f"{p['events_per_sec']:,.0f} events/s under floor "
-            f"{EVENTS_PER_SEC_FLOOR:,.0f}"
-        )
+        for us_per_event in p["us_per_event_runs"]:
+            events_per_sec = 1e6 / us_per_event
+            assert events_per_sec >= EVENTS_PER_SEC_FLOOR, (
+                f"{events_per_sec:,.0f} events/s under floor "
+                f"{EVENTS_PER_SEC_FLOOR:,.0f} ({p['events']:,} events)"
+            )
     # Memory is watermark-bounded: retained/buffered high-water must not
     # scale with campaign length (satellite: RSS-flat streams).
     for key in ("retained_high_water", "buffered_high_water"):
@@ -354,6 +373,7 @@ def test_dataflow_plane_flat_per_event_cost(benchmark):
                 "window_s": WINDOW_S,
                 "spread": spread,
                 "spread_ceiling": SPREAD_CEILING,
+                "repeats": THROUGHPUT_REPEATS,
                 "events_per_sec_floor": EVENTS_PER_SEC_FLOOR,
                 "campaigns": points,
                 "before_per_element": baseline,

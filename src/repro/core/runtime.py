@@ -422,6 +422,10 @@ class Runtime:
             return self._wait_object(item, timeout)
         if isinstance(item, (list, tuple)):
             resolved = [self._wait_one(element, timeout) for element in item]
+            if isinstance(item, tuple):
+                # Tuple-backed records (StreamElement, namedtuples) take
+                # their fields positionally, not as one iterable.
+                return tuple.__new__(type(item), resolved)
             return type(item)(resolved)
         # A plain object: wait for its last writer, then hand it back.
         return self._wait_object(item, timeout)

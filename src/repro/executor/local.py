@@ -168,4 +168,10 @@ class LocalExecutor:
                 kwargs[pname][index] = value
             else:
                 kwargs[key] = value
+        for pname in copied_lists:
+            original = instance.kwargs[pname]
+            if isinstance(original, tuple):
+                # Tuples (and tuple-backed records: StreamElement,
+                # namedtuples) keep their type, fields taken positionally.
+                kwargs[pname] = tuple.__new__(type(original), kwargs[pname])
         return kwargs

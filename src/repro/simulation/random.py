@@ -17,12 +17,31 @@ T = TypeVar("T")
 
 
 class DeterministicRandom:
-    """A named, seeded random stream with distribution helpers."""
+    """A named, seeded random stream with distribution helpers.
+
+    ``random()`` is the underlying generator's bound C method: a float in
+    [0, 1), drawn from the same stream as every helper below.
+    """
 
     def __init__(self, seed: int = 0, name: str = "root") -> None:
         self.seed = seed
         self.name = name
         self._rng = random.Random(seed)
+        # The bound C method itself: sensors draw twice per reading, and a
+        # Python wrapper around it cost more than the draw.
+        self.random = self._rng.random
+
+    def __getstate__(self) -> dict:
+        # copy.deepcopy treats a builtin method as atomic, so a copied
+        # bound draw would keep advancing the *original* generator.  Drop
+        # it here and rebind it to the copy's own generator on restore.
+        state = self.__dict__.copy()
+        del state["random"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.random = self._rng.random
 
     def fork(self, name: str) -> "DeterministicRandom":
         """Derive an independent child stream keyed by ``name``.
@@ -42,9 +61,6 @@ class DeterministicRandom:
 
     def randint(self, low: int, high: int) -> int:
         return self._rng.randint(low, high)
-
-    def random(self) -> float:
-        return self._rng.random()
 
     def choice(self, items: Sequence[T]) -> T:
         return self._rng.choice(items)

@@ -18,16 +18,13 @@ The subsystem runs in virtual time on the DES engine:
   a described dataflow (map/filter chains into tumbling windows, keyed
   joins, and stream-fed batch stages) lowered into the task runtime, one
   task per window, at flat per-event cost;
-* :class:`WindowedProcessor` — the earlier single-operator form: closes
-  tumbling windows over a stream and runs one processing task per window
-  on a platform node (kept as the bench baseline);
 * :class:`BatchCollector` — the fragmented-pipeline baseline: accumulate
   everything, process once at the end, for experiment E14.
 """
 
 from repro.streams.stream import DataStream, StreamElement
 from repro.streams.sources import CreditValve, SensorSource
-from repro.streams.processing import WindowedProcessor, BatchCollector, WindowResult
+from repro.streams.processing import BatchCollector, WindowResult
 from repro.streams.operators import (
     OperatorError,
     OperatorGraph,
@@ -41,7 +38,6 @@ __all__ = [
     "StreamElement",
     "CreditValve",
     "SensorSource",
-    "WindowedProcessor",
     "BatchCollector",
     "WindowResult",
     "OperatorError",

@@ -50,7 +50,7 @@ from repro.streams.operators import (
 )
 from repro.streams.processing import WindowResult
 from repro.streams.sources import CreditValve
-from repro.streams.stream import DataStream, StreamElement
+from repro.streams.stream import DataStream, StreamElement, _timestamp, _value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor layer)
     from repro.executor.simulated import SimulatedExecutor
@@ -225,8 +225,8 @@ class DataflowPlane:
         def ingest(batch) -> None:
             total = len(batch)
             self.elements_ingested += total
-            timestamps = [element.timestamp for element in batch]
-            values = [element.value for element in batch]
+            timestamps = list(map(_timestamp, batch))
+            values = list(map(_value, batch))
             for kind, fn in ops:
                 if kind == "map":
                     values = list(map(fn, values))

@@ -1,16 +1,16 @@
-"""Stream processing: windowed tasks vs end-of-run batch.
+"""Stream processing results and the end-of-run batch baseline.
 
-:class:`WindowedProcessor` is the holistic-workflow answer — results stream
-out with bounded latency while data keeps arriving; :class:`BatchCollector`
-is the fragmented status quo — collect first, compute after the campaign —
-whose result latency is the whole campaign length.  Experiment E14 compares
-the two.
+:class:`WindowResult` is what every window task produces.
+:class:`BatchCollector` is the fragmented status quo — collect first,
+compute after the campaign — whose result latency is the whole campaign
+length.  Experiments E14 and E14b compare it with per-window results
+streamed out while data keeps arriving.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional
 
 from repro.infrastructure.platform import Platform
 from repro.simulation.engine import SimulationEngine
@@ -36,111 +36,6 @@ class WindowResult:
     def worst_element_latency(self) -> float:
         """Age of the *oldest* element when its result became available."""
         return self.completed_at - self.window_start
-
-
-class WindowedProcessor:
-    """Tumbling windows, one processing task per window.
-
-    Processing occupies a core on ``node_name`` for
-    ``compute_time_fn(elements)`` of virtual time (sequentialized per
-    processor, like a dedicated stream worker), then publishes the result.
-    """
-
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        platform: Platform,
-        source: DataStream,
-        output: DataStream,
-        node_name: str,
-        window_s: float,
-        compute_fn: Callable[[List[StreamElement]], Any],
-        compute_time_fn: Optional[Callable[[List[StreamElement]], float]] = None,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        self.engine = engine
-        self.platform = platform
-        self.source = source
-        self.output = output
-        self.node_name = node_name
-        self.window_s = window_s
-        self.compute_fn = compute_fn
-        self.compute_time_fn = compute_time_fn or (
-            lambda elements: 0.05 * max(1, len(elements))
-        )
-        self.results: List[WindowResult] = []
-        self._pending: List[StreamElement] = []
-        self._window_start = 0.0
-        self._worker_free_at = 0.0
-        self._started = False
-
-    def start(self, at: float = 0.0) -> None:
-        if self._started:
-            raise RuntimeError("processor already started")
-        self._started = True
-        self._window_start = at
-        self.source.subscribe(self._on_element)
-        self.engine.at(
-            at + self.window_s, self._close_window, label="window-close"
-        )
-
-    def _on_element(self, element: StreamElement) -> None:
-        self._pending.append(element)
-
-    def _close_window(self) -> None:
-        window_start = self._window_start
-        window_end = self.engine.now
-        elements = self._pending
-        self._pending = []
-        self._window_start = window_end
-        if elements:
-            self._schedule_processing(elements, window_start, window_end)
-        if not self.source.closed:
-            self.engine.after(self.window_s, self._close_window, label="window-close")
-        elif self.source.since(window_end):
-            # Late elements after close: flush them as a final window.
-            self.engine.after(self.window_s, self._close_window, label="window-close")
-
-    def _schedule_processing(
-        self, elements: List[StreamElement], window_start: float, window_end: float
-    ) -> None:
-        node = self.platform.node(self.node_name)
-        duration = self.compute_time_fn(elements) / node.speed_factor
-        start_at = max(self.engine.now, self._worker_free_at)
-        finish_at = start_at + duration
-        self._worker_free_at = finish_at
-        self.platform.energy.record_busy(self.node_name, start_at, finish_at, cores=1)
-
-        def complete() -> None:
-            value = self.compute_fn(elements)
-            result = WindowResult(
-                window_start=window_start,
-                window_end=window_end,
-                completed_at=self.engine.now,
-                value=value,
-                element_count=len(elements),
-            )
-            self.results.append(result)
-            self.output.publish(
-                StreamElement(
-                    timestamp=self.engine.now, value=result, source="windowed"
-                )
-            )
-
-        self.engine.at(finish_at, complete, label="window-process")
-
-    # ------------------------------------------------------------- metrics
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(r.latency for r in self.results) / len(self.results)
-
-    @property
-    def max_latency(self) -> float:
-        return max((r.latency for r in self.results), default=0.0)
 
 
 class BatchCollector:

@@ -173,9 +173,16 @@ class SensorSource:
         produced = self.produced
         readings: List[StreamElement] = []
         append = readings.append
+        # StreamElement.__new__ without its Python frame: one tuple build,
+        # fields in the constructor order that stream.py lays out.
+        new_element = tuple.__new__
         timestamp: Optional[float] = now
         for _ in range(self.batch):
-            append(StreamElement(timestamp, reading_fn(produced, rng), name))
+            append(
+                new_element(
+                    StreamElement, (timestamp, reading_fn(produced, rng), name)
+                )
+            )
             produced += 1
             if jitter:
                 timestamp = timestamp + (period + (low + width * draw()))

@@ -17,18 +17,83 @@ production rates:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from operator import le
+from dataclasses import FrozenInstanceError
+from operator import itemgetter, le
 from typing import Any, Callable, List, Sequence
 
+# StreamElement's layout, in constructor order: C-level field getters that
+# the properties below and the batch-wide readers in dataflow.py share.
+_timestamp = itemgetter(0)
+_value = itemgetter(1)
+_source = itemgetter(2)
 
-@dataclass(frozen=True)
-class StreamElement:
-    """One element on a stream."""
 
-    timestamp: float
-    value: Any
-    source: str = ""
+class StreamElement(tuple):
+    """One element on a stream: an immutable ``(timestamp, value, source)``.
+
+    A ``tuple`` subclass, so building one is a single C-level tuple
+    allocation and reading a field is a C-level item fetch.  It keeps the
+    contract of the frozen dataclass it replaced:
+
+    * equality is class-strict — two elements are equal exactly when their
+      fields are, and an element never equals a plain tuple holding the
+      same fields (in either direction);
+    * ``hash`` is ``hash((timestamp, value, source))``;
+    * ordering (``<``, ``<=``, ``>``, ``>=``) raises ``TypeError``;
+    * assigning or deleting any attribute raises
+      :class:`dataclasses.FrozenInstanceError`;
+    * ``repr`` is ``StreamElement(timestamp=…, value=…, source=…)``;
+    * it pickles and deep-copies at every protocol.
+
+    Being a tuple, ``len``, iteration and indexing also work (three items,
+    in field order); nothing relies on them failing.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("timestamp", "value", "source")
+
+    def __new__(cls, timestamp: float, value: Any, source: str = ""):
+        return tuple.__new__(cls, (timestamp, value, source))
+
+    timestamp = property(_timestamp, doc="Virtual time of the reading.")
+    value = property(_value, doc="The payload.")
+    source = property(_source, doc="Identity of the emitter.")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # A plain tuple would answer True through the reflected
+        # tuple.__eq__, so refuse it here instead of deferring.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError(
+            "ordering is not supported between instances of "
+            f"{type(self).__name__!r} and {type(other).__name__!r}"
+        )
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(timestamp={self[0]!r}, "
+            f"value={self[1]!r}, source={self[2]!r})"
+        )
 
 
 class DataStream:
@@ -119,7 +184,7 @@ class DataStream:
             raise RuntimeError(f"stream {self.name!r} is closed")
         timestamps = self._timestamps
         previous = timestamps[-1] if timestamps else float("-inf")
-        stamps = [element.timestamp for element in elements]
+        stamps = list(map(_timestamp, elements))
         if not all(map(le, [previous, *stamps], stamps)):
             # Out of order, or a NaN that compares false: walk the batch
             # to name the offending element (NaN passes, as it always has).

